@@ -9,7 +9,8 @@
 // Two coordination modes share one campaign description:
 //
 // Filesystem mode needs no server at all — any directory every worker
-// can reach (NFS, a shared volume) is the queue:
+// can reach (NFS with a working lock manager, a shared volume) holds
+// the queue's write-ahead journal, and every worker opens it directly:
 //
 //	campaignd -dir shared/ -init -exp all -rows 1000 -runs 3 -units 12 -ttl 2m
 //	characterize -worker shared/                  # on each machine
@@ -148,14 +149,15 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		}
 		m := dispatch.NewManifest(cfg, *units, *ttl)
 		m.MaxStrikes = *strikes
-		if err := dispatch.InitDir(*dir, m); err != nil {
+		q, err := dispatch.CreateWALQueue(*dir, m)
+		if err != nil {
+			return err
+		}
+		if err := q.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "campaign initialized in %s: %d units, lease TTL %v, fingerprint %s\n",
 			*dir, m.Units, m.LeaseTTL(), m.Fingerprint)
-		if dispatch.DirUsesLockFiles(*dir) {
-			fmt.Fprintf(out, "note: %s has no hard-link support; the queue will coordinate through O_EXCL lock files\n", *dir)
-		}
 		fmt.Fprintf(out, "start workers with: characterize -worker %s\n", *dir)
 		return nil
 	}
@@ -172,16 +174,17 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		}
 	})
 	if len(rejected) > 0 {
-		return fmt.Errorf("watch mode reads the campaign from %s/manifest.json; %s would be silently ignored (campaign flags belong with -init)",
+		return fmt.Errorf("watch mode reads the campaign from the journal in %s; %s would be silently ignored (campaign flags belong with -init)",
 			*dir, strings.Join(rejected, " "))
 	}
-	q, err := dispatch.OpenDir(*dir)
+	q, err := dispatch.OpenWALQueue(*dir)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("%s holds no campaign manifest yet; initialize it first with: campaignd -dir %s -init [campaign flags]", *dir, *dir)
+			return fmt.Errorf("%s holds no campaign yet; initialize it first with: campaignd -dir %s -init [campaign flags]", *dir, *dir)
 		}
 		return err
 	}
+	defer q.Close()
 	return watchLoop(q, *watch, *outCp, out)
 }
 

@@ -63,10 +63,11 @@ func TestDirCampaignInitWorkWatch(t *testing.T) {
 		t.Fatal("second -init should fail")
 	}
 
-	q, err := dispatch.OpenDir(dir)
+	q, err := dispatch.OpenWALQueue(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer q.Close()
 	if _, err := dispatch.Work(context.Background(), q, dispatch.WorkerOptions{Name: "t"}); err != nil {
 		t.Fatal(err)
 	}

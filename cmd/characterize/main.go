@@ -542,7 +542,7 @@ func dialQueue(endpoint, mode, campaignID, campaignToken string) (dispatch.Queue
 	case isHTTP:
 		return dispatch.Dial(endpoint, nil)
 	default:
-		return dispatch.OpenDir(endpoint)
+		return dispatch.OpenWALQueue(endpoint)
 	}
 }
 

@@ -268,7 +268,7 @@ func TestRunWorkerFlagValidation(t *testing.T) {
 }
 
 // TestRunWorkerDrainsDirCampaign points characterize -worker at a
-// filesystem campaign and expects it to submit every unit; the fused
+// shared campaign directory and expects it to submit every unit; the fused
 // result must then render through -merge with the matching flags,
 // byte-identical to a plain run.
 func TestRunWorkerDrainsDirCampaign(t *testing.T) {
@@ -278,15 +278,20 @@ func TestRunWorkerDrainsDirCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dispatch.InitDir(dir, dispatch.NewManifest(cfg, 3, 30*time.Second)); err != nil {
+	created, err := dispatch.CreateWALQueue(dir, dispatch.NewManifest(cfg, 3, 30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := created.Close(); err != nil {
 		t.Fatal(err)
 	}
 	capture(t, func() error { return run([]string{"-worker", dir, "-worker-name", "tw"}) })
 
-	q, err := dispatch.OpenDir(dir)
+	q, err := dispatch.OpenWALQueue(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer q.Close()
 	st, err := q.Status()
 	if err != nil {
 		t.Fatal(err)

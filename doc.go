@@ -171,22 +171,21 @@
 //     exactly-once (submissions are validated against the fingerprint
 //     and the unit's shard plan, and fused through the
 //     overlap-checked merge).
-//   - dispatch.DirQueue coordinates through a shared directory with
-//     no server (exclusively-linked lease and done files; filesystems
-//     without hard-link support are detected at init time, the mode is
-//     persisted campaign-wide, and the queue falls back to
-//     O_CREATE|O_EXCL lock files);
-//     dispatch.MemQueue + dispatch.NewHandler/Client run the same
-//     protocol over HTTP behind cmd/campaignd.
+//   - dispatch.WALQueue coordinates through a shared directory with
+//     no server: every worker opens its own handle on the directory's
+//     journal, and each operation runs under an exclusive flock after
+//     replaying what the other handles appended (on NFS, flock needs a
+//     working lock manager). dispatch.MemQueue +
+//     dispatch.NewHandler/Client run the same protocol over HTTP
+//     behind cmd/campaignd.
 //   - Dispatch is cost-aware: submissions report the worker's wall
 //     time, and a per-cell cost model (die-count priors refined by
 //     per-(die count, pattern) observations) drives adaptive unit
 //     sizing. The HTTP coordinator re-plans pending, unleased units so
 //     expected unit costs equalize (fat cells split finer, cheap cells
 //     coalesce; the lease's explicit cell set — not the static i/n
-//     plan — is what the worker runs); the serverless directory queue
-//     keeps static units and grants the most expensive remaining unit
-//     first (LPT), since no process owns the plan there.
+//     plan — is what the worker runs). A shared directory re-plans
+//     the same way, since all its handles replay one journal.
 //   - Workers write intra-unit checkpoints (Queue.SavePartial) every
 //     N completed cells, and a re-granted lease resumes from the dead
 //     worker's last partial (Queue.LoadPartial + Study.Seed) instead
@@ -267,8 +266,8 @@
 // observation order (checkpoints stay byte-identical).
 //
 // The damage phase of that batched solve dispatches at init to per-CPU
-// vector kernels: hand-written AVX2 assembly on amd64 (an AVX-512
-// variant is kept in parity reserve; arm64 gets a NEON-shaped loop),
+// vector kernels: hand-written AVX2 assembly on amd64 (arm64 gets a
+// NEON-shaped loop),
 // selected by internal/cpu's CPUID/XGETBV probe, with -tags purego as
 // the pure-Go scalar escape hatch. The kernels are bit-exact by
 // construction, not approximately fast: lanes parallelize across

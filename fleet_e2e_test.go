@@ -64,17 +64,22 @@ func TestFleetDispatchWorkerKillByteIdentical(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dispatch.InitDir(dir, m); err != nil {
+	created, err := dispatch.CreateWALQueue(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := created.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The doomed worker leases a unit and crashes without ever
 	// heartbeating; its lease must expire and the unit be re-granted to
 	// a live worker.
-	doomed, err := dispatch.OpenDir(dir)
+	doomed, err := dispatch.OpenWALQueue(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer doomed.Close()
 	if _, err := doomed.Acquire("doomed"); err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +94,11 @@ func TestFleetDispatchWorkerKillByteIdentical(t *testing.T) {
 	)
 	for w := 0; w < 2; w++ {
 		name := []string{"alpha", "beta"}[w]
-		wq, err := dispatch.OpenDir(dir)
+		wq, err := dispatch.OpenWALQueue(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer wq.Close()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -109,13 +115,20 @@ func TestFleetDispatchWorkerKillByteIdentical(t *testing.T) {
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}
-	if submitted != units {
-		t.Fatalf("live workers submitted %d units, want all %d (incl. the dead worker's re-granted unit)", submitted, units)
-	}
 
-	coord, err := dispatch.OpenDir(dir)
+	coord, err := dispatch.OpenWALQueue(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer coord.Close()
+	st, err := coord.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-planning may resize the units, so the live workers must have
+	// submitted every unit there is now — the dead worker's included.
+	if !st.Drained() || submitted != st.Units {
+		t.Fatalf("live workers submitted %d units, want all %d (incl. the dead worker's re-granted unit): %+v", submitted, st.Units, st)
 	}
 	cp, err := coord.Merged()
 	if err != nil {

@@ -19,8 +19,8 @@ var X86 struct {
 	// HasAVX2 reports AVX2 with OS-saved YMM state: the 4-lane float64
 	// kernels are safe to run.
 	HasAVX2 bool
-	// HasAVX512 reports AVX-512 F+DQ with OS-saved ZMM state: the
-	// 8-lane float64 kernels are safe to run.
+	// HasAVX512 reports AVX-512 F+DQ with OS-saved ZMM state. No kernel
+	// dispatches on it; bench snapshots record it as the host's tier.
 	HasAVX512 bool
 }
 

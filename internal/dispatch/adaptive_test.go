@@ -3,7 +3,6 @@ package dispatch_test
 import (
 	"bytes"
 	"errors"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -169,156 +168,6 @@ func TestMemQueueWithoutReplanningKeepsStaticUnits(t *testing.T) {
 		if !matched {
 			t.Fatalf("lease cells %v match no static unit", cells)
 		}
-	}
-}
-
-// TestDirQueueAcquireOrdersByExpectedCost pins the serverless side of
-// cost awareness: once a cost sidecar exists, a DirQueue grants the
-// most expensive remaining unit first (LPT), not the lowest-numbered.
-func TestDirQueueAcquireOrdersByExpectedCost(t *testing.T) {
-	cfg := heteroConfig(t)
-	// One unit per cell: unit i covers grid cell i, so units 0-8 are
-	// fat S0 cells (8 dies) and 9-17 cheap H1 cells (4 dies).
-	m := dispatch.NewManifest(cfg, 18, time.Minute)
-	dir := t.TempDir()
-	if err := dispatch.InitDir(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	q, err := dispatch.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before any observation the prior alone ranks S0 units first.
-	l, err := q.Acquire("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Cells) != 1 || l.Cells[0] > 8 {
-		t.Fatalf("prior-cost acquire granted cell %v; want one of the fat S0 cells (0-8)", l.Cells)
-	}
-	// Submit it with a measured cost; the next acquire must still pick
-	// a fat unit, now driven by the refreshed model.
-	if err := q.Submit(l, checkpointForCells(t, m, l.Cells), 80*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := q.Acquire("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l2.Cells) != 1 || l2.Cells[0] > 8 {
-		t.Fatalf("cost-ordered acquire granted cell %v; want a remaining S0 cell", l2.Cells)
-	}
-}
-
-// TestDirQueueLockFileFallback exercises the no-hard-links path end to
-// end: exclusive claims, duplicate-acquire rejection, heartbeats,
-// stealing an expired lease, partial checkpoints, exactly-one submit,
-// and a clean drain — all through O_CREATE|O_EXCL claim files.
-func TestDirQueueLockFileFallback(t *testing.T) {
-	cfg := testConfig(t)
-	dir := t.TempDir()
-	m := dispatch.NewManifest(cfg, 2, time.Second)
-	if err := dispatch.InitDir(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	open := func() *dispatch.DirQueue {
-		q, err := dispatch.OpenDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dispatch.ForceLockFiles(q)
-		return q
-	}
-	clock := newFakeClock()
-	a, b := open(), open()
-	a.SetClock(clock.Now)
-	b.SetClock(clock.Now)
-	if !a.UsesLockFiles() {
-		t.Fatal("queue not in lock-file mode")
-	}
-
-	la, err := a.Acquire("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := b.Acquire("beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la.Unit == lb.Unit {
-		t.Fatalf("exclusive claim failed: both workers hold unit %d", la.Unit)
-	}
-	if _, err := b.Acquire("beta"); !errors.Is(err, dispatch.ErrNoWork) {
-		t.Fatalf("all units leased, want ErrNoWork, got %v", err)
-	}
-	if err := a.Heartbeat(la); err != nil {
-		t.Fatal(err)
-	}
-
-	// Intra-unit checkpoint round trip through lock-file mode.
-	part := checkpointForCells(t, m, la.Cells[:2])
-	if err := a.SavePartial(la, part); err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.LoadPartial(la)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || len(got.Cells) != 2 {
-		t.Fatalf("partial round trip lost cells: %+v", got)
-	}
-
-	// Alpha goes silent; beta keeps heartbeating (reviving its own
-	// expired-but-unstolen lease), then steals alpha's unit and resumes
-	// from the stored partial.
-	clock.Advance(1500 * time.Millisecond)
-	if err := b.Heartbeat(lb); err != nil {
-		t.Fatalf("heartbeat on expired-but-unstolen lease: %v", err)
-	}
-	stolen, err := b.Acquire("beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stolen.Unit != la.Unit {
-		t.Fatalf("steal granted unit %d, want the expired unit %d", stolen.Unit, la.Unit)
-	}
-	if resumed, err := b.LoadPartial(stolen); err != nil || resumed == nil {
-		t.Fatalf("stolen lease lost the intra-unit checkpoint: %v %v", resumed, err)
-	}
-
-	// Exactly one submission per unit.
-	if err := b.Submit(stolen, checkpointForCells(t, m, stolen.Cells), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Submit(la, checkpointForCells(t, m, la.Cells), 0); !errors.Is(err, dispatch.ErrDuplicateSubmit) && !errors.Is(err, dispatch.ErrLeaseLost) {
-		t.Fatalf("dead worker's submit: want duplicate/lost, got %v", err)
-	}
-	if err := b.Submit(lb, checkpointForCells(t, m, lb.Cells), 0); err != nil {
-		t.Fatal(err)
-	}
-	st, err := b.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Drained() {
-		t.Fatalf("lock-file campaign not drained: %+v", st)
-	}
-	if cp, err := b.Merged(); err != nil || len(cp.Cells) != 18 {
-		t.Fatalf("merged checkpoint: %v cells, err %v", len(cp.Cells), err)
-	}
-}
-
-// TestSupportsHardLinksProbe sanity-checks the filesystem probe runs
-// and that InitDir succeeds whichever mode it picks.
-func TestSupportsHardLinksProbe(t *testing.T) {
-	dir := t.TempDir()
-	_ = dispatch.SupportsHardLinks(dir) // either answer is valid; must not wedge or leak
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("probe leaked files: %v", ents)
 	}
 }
 

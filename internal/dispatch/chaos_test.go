@@ -1,10 +1,12 @@
 package dispatch_test
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,8 +59,8 @@ func TestChaosCampaignQuarantinesPoisonUnit(t *testing.T) {
 	// The deterministic schedule: a few transport faults on both sides,
 	// one journal-append failure (fails the coordinator mid-campaign)
 	// and one fsync failure (fails the reopened coordinator again) —
-	// every fault-point class this topology crosses. Unused dir.* and
-	// registry.op rules are armed too, proving unexercised points cost
+	// every fault-point class this topology crosses. An unused
+	// registry.op rule is armed too, proving unexercised points cost
 	// nothing.
 	sched, err := faultpoint.ParseSchedule(
 		"seed=42" +
@@ -66,7 +68,7 @@ func TestChaosCampaignQuarantinesPoisonUnit(t *testing.T) {
 			";http.server:skip=9,count=3" +
 			";wal.append:skip=10,count=1" +
 			";wal.sync:skip=16,count=1" +
-			";dir.claim:count=1;dir.replace:count=1;registry.op:count=1")
+			";registry.op:count=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +78,19 @@ func TestChaosCampaignQuarantinesPoisonUnit(t *testing.T) {
 	// The monitor is the "operator": whenever the coordinator's journal
 	// fails (our kill -9 analogue), it abandons the handle without
 	// Close and reopens the campaign from the WAL.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	const deadline = 2 * time.Minute
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
+	// A campaign still running shortly before the deadline has hung:
+	// log every goroutine's stack while the hang is still in place, so
+	// the failure that follows can be diagnosed from the test log.
+	dumped := make(chan struct{})
+	stall := time.AfterFunc(deadline-10*time.Second, func() {
+		defer close(dumped)
+		var buf bytes.Buffer
+		_ = pprof.Lookup("goroutine").WriteTo(&buf, 2)
+		t.Logf("campaign still running %v in; goroutines:\n%s", deadline-10*time.Second, buf.String())
+	})
 	restarts := 0
 	monitorDone := make(chan struct{})
 	go func() {
@@ -132,6 +145,9 @@ func TestChaosCampaignQuarantinesPoisonUnit(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if !stall.Stop() {
+		<-dumped
+	}
 	cancel()
 	<-monitorDone
 	for i, err := range errs {

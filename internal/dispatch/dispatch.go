@@ -443,8 +443,8 @@ func (s Status) Drained() bool { return s.Done+s.Quarantined+s.Dropped == s.Unit
 func (s Status) Degraded() bool { return s.Quarantined+s.Dropped > 0 }
 
 // Queue is the worker-facing coordination surface, implemented by
-// MemQueue (in-process / behind cmd/campaignd), DirQueue (shared
-// directory, no server) and Client (HTTP).
+// MemQueue (in-process), WALQueue (durable; behind cmd/campaignd or a
+// shared directory with no server) and Client (HTTP).
 type Queue interface {
 	// Manifest returns the campaign description.
 	Manifest() (Manifest, error)

@@ -20,15 +20,11 @@
 // Dispatch is cost-aware. Every submission reports the wall time the
 // worker spent, and the queues fold it into a per-cell cost model
 // (costModel: die-count priors refined by per-(dies, pattern) EWMAs).
-// MemQueue — the single-coordinator mode — re-plans the still-pending,
-// unleased units after each observation so their expected costs
-// equalize: units holding fat 8/16-die cells split finer, cheap cells
-// coalesce, and the campaign drains without a straggler tail. DirQueue
-// has no coordinator process that could own such a re-plan (concurrent
-// re-partitions through a shared directory cannot be made atomic), so
-// it keeps the manifest's static units and instead grants the most
-// expensive pending unit first — LPT scheduling, which attacks the
-// same tail from the ordering side.
+// MemQueue re-plans the still-pending, unleased units after each
+// observation so their expected costs equalize: units holding fat
+// 8/16-die cells split finer, cheap cells coalesce, and the campaign
+// drains without a straggler tail. Among pending units it grants the
+// most expensive first (LPT ordering).
 //
 // Workers also write intra-unit checkpoints: the completed cells of
 // the unit in flight, stored at the queue under the lease. When a
@@ -39,15 +35,28 @@
 // resumed unit's final checkpoint is byte-identical to a from-scratch
 // run.
 //
-// Two queue implementations share the Queue interface:
+// One state machine, MemQueue, implements the lease lifecycle;
+// everything else wraps it:
 //
-//   - DirQueue coordinates through a shared directory (NFS or any
-//     common filesystem) with no server at all: leases are
-//     exclusively-created files, heartbeats atomically rewrite them,
-//     and submissions are atomically linked checkpoint files.
-//   - MemQueue is an in-memory queue served over HTTP by
-//     cmd/campaignd; Client speaks the same protocol from the worker
-//     side.
+//   - WALQueue journals every MemQueue transition to a write-ahead
+//     log in a directory, so a restart replays the exact state. The
+//     directory may be opened by many handles at once — one per
+//     worker process on a shared filesystem, with no server at all.
+//     Every operation, reads included, takes an exclusive flock(2) on
+//     the journal, applies the records other handles appended since
+//     its last operation (a full replay after another handle's
+//     compaction, which the journal header's generation counter
+//     reveals), runs through MemQueue, appends and unlocks. On NFS,
+//     flock is emulated with byte-range locks and needs a working lock
+//     manager; a nolock mount makes the lock local to one client, and
+//     the directory must then not be shared between machines.
+//     Directories made by older builds, which coordinated through
+//     per-unit sidecar files, cannot be opened; their done_*.json
+//     files are ordinary checkpoints and still merge through
+//     characterize -merge.
+//   - NewHandler serves any Queue over HTTP (cmd/campaignd serves a
+//     MemQueue or WALQueue); Client speaks the same protocol from the
+//     worker side.
 //
 // Submitted checkpoints are validated against the manifest fingerprint
 // and the unit's shard plan before they are accepted, and the rolling
@@ -71,9 +80,8 @@
 //     no longer granted, so a poison unit (one whose input reliably
 //     wedges or crashes solvers) burns a bounded number of grants
 //     fleet-wide instead of hanging the campaign forever. Strikes and
-//     quarantine transitions are journaled (WALQueue) or written as
-//     durable sidecar files (DirQueue), so the ledger survives
-//     coordinator kill-9 and restart. Workers bound their exposure
+//     quarantine transitions are journaled (WALQueue), so the ledger
+//     survives coordinator kill-9 and restart. Workers bound their exposure
 //     with WorkerOptions.UnitTimeout: a wedged shard run is cancelled
 //     and converted into a reported Fail, and a panicking runner is
 //     recovered and reported the same way.
@@ -93,7 +101,7 @@
 //
 // The failure paths themselves are tested with internal/faultpoint:
 // named injection points (wal.append, wal.sync, wal.snapshot,
-// dir.claim, dir.replace, http.server, http.client, registry.op) sit
+// http.server, http.client, registry.op) sit
 // on every failure-prone seam, cost one atomic load when disarmed, and
 // fire on a deterministic seeded schedule when a test (or
 // ROWFUSE_FAULTPOINTS) arms one — see the chaos suite in

@@ -54,7 +54,7 @@ func seedFromQueue(t *testing.T, q dispatch.Queue) *core.Study {
 }
 
 // TestDispatchEndToEndKillOneWorker is the acceptance path of the
-// distributed dispatch subsystem: a filesystem-queue campaign with
+// distributed dispatch subsystem: a shared-directory campaign with
 // three workers, one of which dies right after taking a lease (it
 // never heartbeats and never submits). Its lease must expire and be
 // re-granted to a surviving worker, and the fused result must render
@@ -68,31 +68,22 @@ func TestDispatchEndToEndKillOneWorker(t *testing.T) {
 	}
 	want := renderCampaign(t, single)
 
-	dir := t.TempDir()
 	const units = 4
 	ttl := 400 * time.Millisecond
-	if err := dispatch.InitDir(dir, dispatch.NewManifest(cfg, units, ttl)); err != nil {
-		t.Fatal(err)
-	}
+	dir := initSharedDir(t, dispatch.NewManifest(cfg, units, ttl))
 
-	// The doomed worker: leases unit 0 and is killed — modelled
+	// The doomed worker: leases a unit and is killed — modelled
 	// exactly as a crashed process, which simply stops touching the
 	// directory. No heartbeat, no submit.
-	doomed, err := dispatch.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doomed := openShared(t, dir)
 	doomedLease, err := doomed.Acquire("doomed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doomedLease.Unit != 0 {
-		t.Fatalf("doomed worker got unit %d, want 0", doomedLease.Unit)
-	}
 
 	// Three live workers (separate queue handles = separate
-	// processes) drain the campaign, stealing unit 0 once its lease
-	// expires.
+	// processes) drain the campaign, stealing the doomed unit once its
+	// lease expires.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var (
@@ -103,10 +94,7 @@ func TestDispatchEndToEndKillOneWorker(t *testing.T) {
 	)
 	for w := 0; w < 3; w++ {
 		name := []string{"alpha", "beta", "gamma"}[w]
-		wq, err := dispatch.OpenDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wq := openShared(t, dir)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -123,14 +111,8 @@ func TestDispatchEndToEndKillOneWorker(t *testing.T) {
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}
-	if submitted != units {
-		t.Fatalf("live workers submitted %d units, want all %d (incl. the dead worker's re-granted unit)", submitted, units)
-	}
 
-	coord, err := dispatch.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := openShared(t, dir)
 	st, err := coord.Status()
 	if err != nil {
 		t.Fatal(err)
@@ -138,8 +120,13 @@ func TestDispatchEndToEndKillOneWorker(t *testing.T) {
 	if !st.Drained() {
 		t.Fatalf("campaign not drained: %+v", st)
 	}
+	// Re-planning may resize the units, so the live workers must have
+	// submitted every unit there is now — the dead worker's included.
+	if submitted != st.Units {
+		t.Fatalf("live workers submitted %d units, want all %d (incl. the dead worker's re-granted unit)", submitted, st.Units)
+	}
 	// The dead worker's own lease is useless now.
-	if err := doomed.Submit(doomedLease, emptyCheckpoint(dispatchManifest(t, coord), 0), 0); err == nil {
+	if err := doomed.Submit(doomedLease, checkpointForCells(t, dispatchManifest(t, coord), doomedLease.Cells), 0); err == nil {
 		t.Fatal("dead worker's stale submit was accepted")
 	}
 

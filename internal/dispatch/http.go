@@ -382,18 +382,50 @@ func DialCampaign(base, campaignID, token string, hc *http.Client) (*Client, err
 	return dial(base, "/v1/campaigns/"+campaignID, token, hc)
 }
 
+// dialAttempts bounds the manifest fetch: with the backoff doubling
+// from 50ms and capped at 2s, the attempts span about five seconds.
+const dialAttempts = 8
+
+// dial fetches and validates the manifest. A transport error or a 5xx
+// answer is retried with jittered exponential backoff, so a worker
+// started during a network blip or a coordinator restart still gets
+// its campaign; any other answer (403 bad token, 404 unknown campaign)
+// is final at once.
 func dial(base, prefix, token string, hc *http.Client) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{Timeout: time.Minute}
 	}
 	c := &Client{base: strings.TrimRight(base, "/"), prefix: prefix, token: token, hc: hc}
-	if err := c.get("/manifest", &c.manifest); err != nil {
-		return nil, err
+	delay := 50 * time.Millisecond
+	for attempt := 1; ; attempt++ {
+		retry, err := c.fetchManifest()
+		if err == nil {
+			break
+		}
+		if !retry || attempt == dialAttempts {
+			return nil, err
+		}
+		time.Sleep(jitter(delay))
+		delay = min(2*delay, 2*time.Second)
 	}
 	if err := c.manifest.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", base, err)
 	}
 	return c, nil
+}
+
+// fetchManifest GETs the campaign manifest; retry reports whether a
+// failure is transient (no response at all, or a 5xx).
+func (c *Client) fetchManifest() (retry bool, err error) {
+	resp, err := c.do("GET", "/manifest", nil)
+	if err != nil {
+		return true, err
+	}
+	defer resp.Body.Close()
+	if err := responseErr(resp); err != nil {
+		return resp.StatusCode >= 500, err
+	}
+	return false, json.NewDecoder(resp.Body).Decode(&c.manifest)
 }
 
 // Manifest implements Queue.

@@ -12,6 +12,7 @@ import (
 
 	"rowfuse/internal/core"
 	"rowfuse/internal/dispatch"
+	"rowfuse/internal/faultpoint"
 	"rowfuse/internal/resultio"
 )
 
@@ -137,5 +138,46 @@ func TestHTTPWorkersDrainCampaign(t *testing.T) {
 	}
 	if !strings.Contains(rep, "complete: 18 of 18 cells") {
 		t.Fatalf("drained report not marked complete:\n%s", rep)
+	}
+}
+
+// TestDialSurvivesTransientManifestFault: a worker that starts during
+// a network blip or a coordinator hiccup must still get its manifest.
+// One dropped connection and one 5xx answer are retried; a final
+// answer such as 404 is returned at once.
+func TestDialSurvivesTransientManifestFault(t *testing.T) {
+	m := dispatch.NewManifest(testConfig(t), 1, time.Minute)
+	q, err := dispatch.NewMemQueue(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(dispatch.NewHandler(q))
+	defer srv.Close()
+
+	sched, err := faultpoint.ParseSchedule("http.client:count=1;http.server:count=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultpoint.Arm(sched)
+	defer faultpoint.Disarm()
+	c, err := dispatch.Dial(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatalf("Dial gave up on a transient fault: %v", err)
+	}
+	if got, _ := c.Manifest(); got.Fingerprint != m.Fingerprint {
+		t.Fatalf("dialed manifest %s, want %s", got.Fingerprint, m.Fingerprint)
+	}
+	fired := strings.Join(faultpoint.Fired(), ",")
+	if !strings.Contains(fired, "http.client") || !strings.Contains(fired, "http.server") {
+		t.Fatalf("faults never fired (fired: %s)", fired)
+	}
+	faultpoint.Disarm()
+
+	start := time.Now()
+	if _, err := dispatch.Dial(srv.URL+"/nowhere", srv.Client()); err == nil {
+		t.Fatal("Dial of a path with no coordinator succeeded")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("a 404 was retried for %v; it is final", d)
 	}
 }

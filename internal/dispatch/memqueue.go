@@ -139,8 +139,7 @@ func (q *MemQueue) Manifest() (Manifest, error) { return q.manifest, nil }
 // sweep re-queues expired leases; callers hold q.mu. The worker and
 // token are kept: until the unit is actually re-granted (Acquire mints
 // a fresh token), the late holder may still revive its lease with a
-// heartbeat or land its submit — matching DirQueue, where the lease
-// file stays in place until a thief replaces it.
+// heartbeat or land its submit.
 func (q *MemQueue) sweep(now time.Time) {
 	for i := range q.units {
 		u := &q.units[i]

@@ -32,6 +32,14 @@
 // — write snapshot, reset log — can crash between the two steps
 // without losing state: the snapshot records the sequence number it
 // folds up to, and replay skips log records at or below it.
+//
+// Several handles — in one process or in many, on one host or over a
+// shared filesystem — may append to one log. Lock serializes them
+// through an advisory flock(2) on the log file; under the lock, Tail
+// hands a handle the records the others appended since it last looked.
+// Reset bumps a generation counter kept in the file header's last two
+// bytes, so a handle whose position another handle's reset invalidated
+// learns it (ErrReset) and rescans with Replay instead of misreading.
 package wal
 
 import (
@@ -39,8 +47,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"syscall"
 
 	"rowfuse/internal/faultpoint"
 	"rowfuse/internal/resultio"
@@ -53,7 +61,8 @@ const (
 	fileMagic   uint32 = 0x52465157 // "RFQW": rowfuse queue WAL
 	recordMagic uint16 = 0xA17C
 
-	headerSize  = 8  // file magic u32 + version u16 + reserved u16
+	headerSize  = 8  // file magic u32 + version u16 + generation u16
+	genOffset   = 6  // the generation's offset in the header
 	recHeadSize = 16 // record magic u16 + version u8 + kind u8 + seq u64 + length u32
 	crcSize     = 4
 
@@ -89,6 +98,10 @@ var (
 	ErrBadSnapshot = errors.New("wal: bad snapshot")
 	// ErrClosed reports an append to a closed log.
 	ErrClosed = errors.New("wal: log closed")
+	// ErrReset reports, from Tail, that another handle reset the log
+	// since this one last read it: the records this handle had not yet
+	// seen now live in a snapshot, so it must reload that and Replay.
+	ErrReset = errors.New("wal: log reset by another handle")
 )
 
 // Record is one replayed log entry.
@@ -109,12 +122,24 @@ type RecoverInfo struct {
 	Records int
 }
 
-// Log is an open, appendable record log.
+// Log is one open, appendable handle on a record log.
 type Log struct {
-	f      *os.File
-	seq    uint64
+	f   *os.File
+	fd  int
+	seq uint64
+	// off is where this handle's view of the log ends: past the last
+	// record it read or wrote. Appends land there.
+	off int64
+	// gen is the header generation this handle last read or wrote.
+	gen uint16
+	// Tail's scratch space, kept on the Log so the no-news check
+	// allocates nothing.
+	st     syscall.Stat_t
+	genBuf [2]byte
 	closed bool
 }
+
+func newLog(f *os.File) *Log { return &Log{f: f, fd: int(f.Fd()), off: headerSize} }
 
 // Create makes a fresh log at path, failing if one already exists.
 func Create(path string) (*Log, error) {
@@ -122,71 +147,159 @@ func Create(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], fileMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], Version)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(appendHeader(nil)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: write header: %w", err)
 	}
-	return &Log{f: f}, nil
+	return newLog(f), nil
 }
 
-// Open scans an existing log, returning the intact records and the
-// log positioned for appending after the last of them. Damage ends
-// the scan: the file is truncated back to the last consistent record
-// boundary (so subsequent appends are well-framed) and info reports
-// the sentinel and the dropped byte count. Only a structurally broken
-// header is a hard error — there is no consistent prefix to recover.
+// Attach opens an existing log as one more handle on it, without
+// reading it: Replay, under Lock, positions the handle.
+func Attach(path string) (*Log, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, err
+	}
+	return newLog(f), nil
+}
+
+// Open attaches to an existing log and replays it under the lock,
+// returning the intact records and the log positioned for appending
+// after the last of them. Damage ends the scan: the file is truncated
+// back to the last consistent record boundary (so subsequent appends
+// are well-framed) and info reports the sentinel and the dropped byte
+// count. Only a structurally broken header is a hard error — there is
+// no consistent prefix to recover.
 func Open(path string) (*Log, []Record, RecoverInfo, error) {
-	data, err := os.ReadFile(path)
+	l, err := Attach(path)
 	if err != nil {
 		return nil, nil, RecoverInfo{}, err
 	}
-	if len(data) < headerSize {
-		return nil, nil, RecoverInfo{}, fmt.Errorf("%w: %s: %d-byte header", ErrTruncated, path, len(data))
+	if err := l.Lock(); err != nil {
+		l.f.Close()
+		return nil, nil, RecoverInfo{}, err
 	}
-	if m := binary.LittleEndian.Uint32(data[0:4]); m != fileMagic {
-		return nil, nil, RecoverInfo{}, fmt.Errorf("%w: %s: file magic %#x", ErrUnknownMagic, path, m)
+	recs, info, err := l.Replay()
+	if uerr := l.Unlock(); err == nil {
+		err = uerr
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return nil, nil, RecoverInfo{}, fmt.Errorf("%w: %s: file version %d", ErrBadVersion, path, v)
+	if err != nil {
+		l.f.Close()
+		return nil, nil, info, err
 	}
+	return l, recs, info, nil
+}
 
+// Lock takes an exclusive advisory lock on the log file, blocking
+// until every other handle has released it. flock(2) locks belong to
+// the open file description, so two handles conflict even inside one
+// process.
+func (l *Log) Lock() error {
+	if l.closed {
+		return ErrClosed
+	}
+	for {
+		err := syscall.Flock(l.fd, syscall.LOCK_EX)
+		if err == nil {
+			return nil
+		}
+		if err != syscall.EINTR {
+			return fmt.Errorf("wal: lock: %w", err)
+		}
+	}
+}
+
+// Unlock releases Lock.
+func (l *Log) Unlock() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if err := syscall.Flock(l.fd, syscall.LOCK_UN); err != nil {
+		return fmt.Errorf("wal: unlock: %w", err)
+	}
+	return nil
+}
+
+// Replay rescans the whole log from its header and positions the
+// handle after the last intact record, truncating a damaged suffix
+// away as Open does. Callers hold the lock.
+func (l *Log) Replay() ([]Record, RecoverInfo, error) {
+	if l.closed {
+		return nil, RecoverInfo{}, ErrClosed
+	}
+	var hdr [headerSize]byte
+	n, _ := l.f.ReadAt(hdr[:], 0)
+	if err := checkHeader(hdr[:n]); err != nil {
+		return nil, RecoverInfo{}, fmt.Errorf("%s: %w", l.f.Name(), err)
+	}
+	if err := syscall.Fstat(l.fd, &l.st); err != nil {
+		return nil, RecoverInfo{}, fmt.Errorf("wal: stat: %w", err)
+	}
+	l.gen = binary.LittleEndian.Uint16(hdr[genOffset:])
+	l.off, l.seq = headerSize, 0
+	return l.scan(l.st.Size)
+}
+
+// Tail returns the records other handles appended since this handle
+// last read or wrote the log, truncating a damaged suffix as Replay
+// does. When there are none it costs one fstat and one two-byte pread
+// and allocates nothing. ErrReset means another handle reset the log
+// meanwhile. Callers hold the lock.
+func (l *Log) Tail() ([]Record, RecoverInfo, error) {
+	if l.closed {
+		return nil, RecoverInfo{}, ErrClosed
+	}
+	if err := syscall.Fstat(l.fd, &l.st); err != nil {
+		return nil, RecoverInfo{}, fmt.Errorf("wal: stat: %w", err)
+	}
+	if l.st.Size < l.off {
+		return nil, RecoverInfo{}, ErrReset
+	}
+	if _, err := syscall.Pread(l.fd, l.genBuf[:], genOffset); err != nil {
+		return nil, RecoverInfo{}, fmt.Errorf("wal: read header: %w", err)
+	}
+	if binary.LittleEndian.Uint16(l.genBuf[:]) != l.gen {
+		return nil, RecoverInfo{}, ErrReset
+	}
+	if l.st.Size == l.off {
+		return nil, RecoverInfo{}, nil
+	}
+	return l.scan(l.st.Size)
+}
+
+// scan parses the records between the handle's position and size,
+// advancing past the intact ones and truncating the file at the first
+// damage.
+func (l *Log) scan(size int64) ([]Record, RecoverInfo, error) {
+	data := make([]byte, size-l.off)
+	if _, err := l.f.ReadAt(data, l.off); err != nil {
+		return nil, RecoverInfo{}, fmt.Errorf("wal: read: %w", err)
+	}
 	var (
 		recs []Record
 		info RecoverInfo
-		off  = headerSize
-		last uint64
+		pos  int
 	)
-	for off < len(data) {
-		rec, n, err := parseRecord(data[off:], last)
+	for pos < len(data) {
+		rec, n, err := parseRecord(data[pos:], l.seq)
 		if err != nil {
 			info.Err = err
-			info.DroppedBytes = int64(len(data) - off)
+			info.DroppedBytes = int64(len(data) - pos)
 			break
 		}
 		recs = append(recs, rec)
-		last = rec.Seq
-		off += n
+		l.seq = rec.Seq
+		pos += n
 	}
 	info.Records = len(recs)
-
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, info, err
-	}
+	l.off += int64(pos)
 	if info.Err != nil {
-		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, nil, info, fmt.Errorf("wal: truncate damaged suffix: %w", err)
+		if err := l.f.Truncate(l.off); err != nil {
+			return nil, info, fmt.Errorf("wal: truncate damaged suffix: %w", err)
 		}
 	}
-	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, info, err
-	}
-	return &Log{f: f, seq: last}, recs, info, nil
+	return recs, info, nil
 }
 
 // parseRecord decodes one record frame from the front of data,
@@ -225,6 +338,27 @@ func parseRecord(data []byte, prev uint64) (Record, int, error) {
 	return Record{Seq: seq, Kind: kind, Payload: append([]byte(nil), body[recHeadSize:]...)}, total, nil
 }
 
+// appendHeader appends a generation-0 file header to buf.
+func appendHeader(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, fileMagic)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
+	return binary.LittleEndian.AppendUint16(buf, 0)
+}
+
+// checkHeader validates the file header at the front of data.
+func checkHeader(data []byte) error {
+	if len(data) < headerSize {
+		return fmt.Errorf("%w: %d-byte header", ErrTruncated, len(data))
+	}
+	if m := binary.LittleEndian.Uint32(data[0:4]); m != fileMagic {
+		return fmt.Errorf("%w: file magic %#x", ErrUnknownMagic, m)
+	}
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
+		return fmt.Errorf("%w: file version %d", ErrBadVersion, v)
+	}
+	return nil
+}
+
 // encodeRecord frames one record.
 func encodeRecord(kind uint8, seq uint64, payload []byte) []byte {
 	buf := make([]byte, recHeadSize+len(payload)+crcSize)
@@ -250,16 +384,29 @@ func (l *Log) Append(kind uint8, payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	seq := l.seq + 1
-	if _, err := l.f.Write(encodeRecord(kind, seq, payload)); err != nil {
+	buf := encodeRecord(kind, seq, payload)
+	if _, err := l.f.WriteAt(buf, l.off); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.seq = seq
+	l.off += int64(len(buf))
 	return seq, nil
 }
 
 // LastSeq returns the sequence number of the last appended (or
 // replayed) record; 0 means the log is empty.
 func (l *Log) LastSeq() uint64 { return l.seq }
+
+// SkipTo makes the next append number past seq. A replayed log that a
+// reset emptied knows no sequence numbers of its own; the snapshot
+// that reset folded its records into does, and numbering must
+// continue from there or replay would mistake new records for folded
+// ones.
+func (l *Log) SkipTo(seq uint64) {
+	if seq > l.seq {
+		l.seq = seq
+	}
+}
 
 // Sync fsyncs the log.
 func (l *Log) Sync() error {
@@ -273,19 +420,24 @@ func (l *Log) Sync() error {
 }
 
 // Reset truncates the log back to its header after a snapshot folded
-// its records away. Sequence numbers keep counting from where they
+// its records away, bumping the header generation first so other
+// handles notice. Sequence numbers keep counting from where they
 // were, so a snapshot's lastSeq stays an unambiguous cut point even
 // if the reset itself is interrupted.
 func (l *Log) Reset() error {
 	if l.closed {
 		return ErrClosed
 	}
+	var gen [2]byte
+	binary.LittleEndian.PutUint16(gen[:], l.gen+1)
+	if _, err := l.f.WriteAt(gen[:], genOffset); err != nil {
+		return fmt.Errorf("wal: reset: %w", err)
+	}
 	if err := l.f.Truncate(headerSize); err != nil {
 		return fmt.Errorf("wal: reset: %w", err)
 	}
-	if _, err := l.f.Seek(headerSize, io.SeekStart); err != nil {
-		return err
-	}
+	l.gen++
+	l.off = headerSize
 	return l.f.Sync()
 }
 
@@ -311,9 +463,7 @@ func WriteSnapshot(path string, lastSeq uint64, payload []byte) error {
 	if err := faultpoint.Check("wal.snapshot"); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	buf := make([]byte, headerSize, headerSize+recHeadSize+len(payload)+crcSize)
-	binary.LittleEndian.PutUint32(buf[0:4], fileMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], Version)
+	buf := appendHeader(make([]byte, 0, headerSize+recHeadSize+len(payload)+crcSize))
 	buf = append(buf, encodeRecord(snapshotKind, lastSeq, payload)...)
 	return resultio.WriteFileAtomic(path, buf)
 }
@@ -332,14 +482,8 @@ func ReadSnapshot(path string) (payload []byte, lastSeq uint64, err error) {
 	fail := func(e error) ([]byte, uint64, error) {
 		return nil, 0, fmt.Errorf("%w: %s: %w", ErrBadSnapshot, path, e)
 	}
-	if len(data) < headerSize {
-		return fail(fmt.Errorf("%w: %d-byte header", ErrTruncated, len(data)))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:4]); m != fileMagic {
-		return fail(fmt.Errorf("%w: file magic %#x", ErrUnknownMagic, m))
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != Version {
-		return fail(fmt.Errorf("%w: file version %d", ErrBadVersion, v))
+	if err := checkHeader(data); err != nil {
+		return fail(err)
 	}
 	rec, n, err := parseRecord(data[headerSize:], 0)
 	if err != nil {

@@ -315,3 +315,76 @@ func TestLogResetKeepsSequence(t *testing.T) {
 		t.Fatalf("after reset: %d records, first seq %d", len(recs), recs[0].Seq)
 	}
 }
+
+// TestLogTailAcrossHandles drives two handles on one log the way two
+// processes share a queue journal: each sees the other's appends
+// through Tail, a reset by one surfaces as ErrReset in the other, and
+// the no-news check allocates nothing.
+func TestLogTailAcrossHandles(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.wal")
+	a, err := wal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, _, _, err := wal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	locked := func(l *wal.Log, f func()) {
+		t.Helper()
+		if err := l.Lock(); err != nil {
+			t.Fatal(err)
+		}
+		f()
+		if err := l.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	locked(a, func() {
+		for i := 0; i < 2; i++ {
+			if _, err := a.Append(1, []byte("from a")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	locked(b, func() {
+		recs, info, err := b.Tail()
+		if err != nil || info.Err != nil || len(recs) != 2 || recs[1].Seq != 2 {
+			t.Fatalf("tail: %d records, %v / %v", len(recs), err, info.Err)
+		}
+		if seq, err := b.Append(1, []byte("from b")); err != nil || seq != 3 {
+			t.Fatalf("b appended seq %d (%v), want 3", seq, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := b.Tail(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("Tail with nothing new allocates %v times", allocs)
+		}
+	})
+	locked(a, func() {
+		recs, _, err := a.Tail()
+		if err != nil || len(recs) != 1 || string(recs[0].Payload) != "from b" {
+			t.Fatalf("a's tail: %d records, %v", len(recs), err)
+		}
+		if err := a.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Append(1, []byte("after reset")); err != nil {
+			t.Fatal(err)
+		}
+	})
+	locked(b, func() {
+		if _, _, err := b.Tail(); !errors.Is(err, wal.ErrReset) {
+			t.Fatalf("tail after another handle's reset: %v, want ErrReset", err)
+		}
+		recs, _, err := b.Replay()
+		if err != nil || len(recs) != 1 || recs[0].Seq != 4 {
+			t.Fatalf("replay after reset: %d records, %v", len(recs), err)
+		}
+	})
+}

@@ -21,6 +21,16 @@ import (
 // partials, re-planned unit boundaries and the learned cost model all
 // survive.
 //
+// A queue directory may be opened by any number of handles at once —
+// one coordinator process, or one handle per worker process on a
+// shared filesystem. Every operation, reads included, runs under an
+// exclusive flock on the journal: the handle first applies the records
+// other handles appended since its last operation (a full replay when
+// one of them compacted the log meanwhile), then runs the operation
+// through its MemQueue, then appends. Every handle therefore decides
+// against the same state, and when nobody else wrote, the check costs
+// one fstat and one two-byte pread.
+//
 // Journal discipline: a mutation is applied to the in-memory state,
 // its records are appended to the log, and — for everything except
 // heartbeats — fsynced, all before the caller sees a result. Nothing
@@ -47,9 +57,12 @@ type WALQueue struct {
 	mem *MemQueue
 	log *wal.Log
 	dir string
+	now func() time.Time // nil: the MemQueue default
 
 	nosync       bool
 	compactEvery int
+	// sinceCompact counts the records in the log since its last reset,
+	// whichever handle appended them.
 	sinceCompact int
 
 	// buf stages the records of the mutation in flight (filled by the
@@ -58,9 +71,9 @@ type WALQueue struct {
 	bufErr error
 
 	recovered wal.RecoverInfo
-	// failed poisons the queue after a journal write error: the
-	// in-memory state no longer matches the durable state, and serving
-	// from it would hand out leases a restart has never heard of.
+	// failed poisons the handle after a journal error: the in-memory
+	// state no longer matches the durable state, and serving from it
+	// would hand out leases a restart has never heard of.
 	failed error
 	closed bool
 }
@@ -141,7 +154,7 @@ type WALQueueOption func(*WALQueue)
 // WALWithClock substitutes the queue's time source (tests drive lease
 // expiry without sleeping).
 func WALWithClock(now func() time.Time) WALQueueOption {
-	return func(q *WALQueue) { q.mem.now = now }
+	return func(q *WALQueue) { q.now = now }
 }
 
 // WALWithoutSync skips per-record fsync. Appends still go straight to
@@ -160,6 +173,28 @@ func WALCompactEvery(n int) WALQueueOption {
 	}
 }
 
+func newWALQueue(dir string, opts []WALQueueOption) *WALQueue {
+	q := &WALQueue{dir: dir, compactEvery: defaultCompactEvery}
+	for _, o := range opts {
+		o(q)
+	}
+	return q
+}
+
+// install makes a fresh MemQueue for m the handle's state.
+func (q *WALQueue) install(m Manifest) error {
+	mem, err := NewMemQueue(m)
+	if err != nil {
+		return err
+	}
+	if q.now != nil {
+		mem.now = q.now
+	}
+	mem.sink = q
+	q.mem = mem
+	return nil
+}
+
 // CreateWALQueue initializes a durable campaign queue in dir (created
 // if missing). Fails if dir already holds a queue — reopen one with
 // OpenWALQueue instead.
@@ -167,8 +202,8 @@ func CreateWALQueue(dir string, m Manifest, opts ...WALQueueOption) (*WALQueue, 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	mem, err := NewMemQueue(m)
-	if err != nil {
+	q := newWALQueue(dir, opts)
+	if err := q.install(m); err != nil {
 		return nil, err
 	}
 	log, err := wal.Create(filepath.Join(dir, walFile))
@@ -178,103 +213,140 @@ func CreateWALQueue(dir string, m Manifest, opts ...WALQueueOption) (*WALQueue, 
 		}
 		return nil, err
 	}
-	q := &WALQueue{mem: mem, log: log, dir: dir, compactEvery: defaultCompactEvery}
-	for _, o := range opts {
-		o(q)
-	}
+	q.log = log
 	payload, err := json.Marshal(recInit{Manifest: m})
+	if err == nil {
+		err = log.Lock()
+	}
+	if err == nil {
+		_, err = log.Append(kindInit, payload)
+	}
+	if err == nil && !q.nosync {
+		err = log.Sync()
+	}
+	if err == nil {
+		err = log.Unlock()
+	}
 	if err != nil {
 		log.Close()
 		return nil, err
 	}
-	if _, err := log.Append(kindInit, payload); err != nil {
-		log.Close()
-		return nil, err
-	}
-	if !q.nosync {
-		if err := log.Sync(); err != nil {
-			log.Close()
-			return nil, err
-		}
-	}
-	mem.sink = q
+	q.sinceCompact = 1
 	return q, nil
 }
 
-// OpenWALQueue reopens the durable campaign queue in dir, replaying
-// snapshot and journal back to the exact state the last acknowledged
-// mutation left behind. A torn journal tail (crash mid-append) heals
-// silently; real corruption surfaces its wal sentinel through
-// Recovered() after the queue falls back to the last consistent
-// state. Snapshot damage is a hard error: the records it folded away
-// are gone, so there is nothing consistent to fall back to.
+// OpenWALQueue opens a handle on the durable campaign queue in dir,
+// replaying snapshot and journal back to the exact state the last
+// acknowledged mutation left behind. Other handles may have the queue
+// open, in this process or another. A torn journal tail (crash
+// mid-append) heals silently; real corruption surfaces its wal
+// sentinel through Recovered() after the queue falls back to the last
+// consistent state. Snapshot damage is a hard error: the records it
+// folded away are gone, so there is nothing consistent to fall back
+// to.
 func OpenWALQueue(dir string, opts ...WALQueueOption) (*WALQueue, error) {
+	log, err := wal.Attach(filepath.Join(dir, walFile))
+	if err != nil {
+		if !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+		if _, serr := os.Stat(filepath.Join(dir, "manifest.json")); serr == nil {
+			return nil, fmt.Errorf("%s was made by an older build that coordinated through per-unit sidecar files and cannot be opened; its done_*.json checkpoints still merge with characterize -merge", dir)
+		}
+		return nil, fmt.Errorf("%s holds no campaign queue: %w", dir, err)
+	}
+	q := newWALQueue(dir, opts)
+	q.log = log
+	if err := log.Lock(); err != nil {
+		log.Close()
+		return nil, err
+	}
+	q.recovered, err = q.replayLocked()
+	if uerr := log.Unlock(); err == nil {
+		err = uerr
+	}
+	if err != nil {
+		log.Close()
+		return nil, err
+	}
+	return q, nil
+}
+
+// replayLocked rebuilds the handle's state from the snapshot and the
+// whole journal. Callers hold the journal lock.
+func (q *WALQueue) replayLocked() (wal.RecoverInfo, error) {
 	var (
 		snap     walSnapshot
 		snapSeq  uint64
 		haveSnap bool
 	)
-	payload, seq, err := wal.ReadSnapshot(filepath.Join(dir, snapFile))
+	payload, seq, err := wal.ReadSnapshot(filepath.Join(q.dir, snapFile))
 	switch {
 	case err == nil:
 		if err := json.Unmarshal(payload, &snap); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", wal.ErrBadSnapshot, dir, err)
+			return wal.RecoverInfo{}, fmt.Errorf("%w: %s: %v", wal.ErrBadSnapshot, q.dir, err)
 		}
 		snapSeq, haveSnap = seq, true
 	case errors.Is(err, os.ErrNotExist):
 	default:
-		return nil, err
+		return wal.RecoverInfo{}, err
 	}
 
-	log, recs, info, err := wal.Open(filepath.Join(dir, walFile))
+	recs, info, err := q.log.Replay()
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%s holds no campaign queue: %w", dir, err)
-		}
-		return nil, err
+		return info, err
 	}
-
-	var m Manifest
-	if haveSnap {
-		m = snap.Manifest
-	} else {
+	m := snap.Manifest
+	if !haveSnap {
 		if len(recs) == 0 || recs[0].Kind != kindInit {
-			log.Close()
-			return nil, fmt.Errorf("%w: %s: journal does not start with an init record", wal.ErrBadRecord, dir)
+			return info, fmt.Errorf("%w: %s: journal does not start with an init record", wal.ErrBadRecord, q.dir)
 		}
 		var init recInit
 		if err := json.Unmarshal(recs[0].Payload, &init); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("%w: init record: %v", wal.ErrBadRecord, err)
+			return info, fmt.Errorf("%w: init record: %v", wal.ErrBadRecord, err)
 		}
 		m = init.Manifest
 	}
-	mem, err := NewMemQueue(m)
-	if err != nil {
-		log.Close()
-		return nil, err
-	}
-	q := &WALQueue{mem: mem, log: log, dir: dir, compactEvery: defaultCompactEvery, recovered: info}
-	for _, o := range opts {
-		o(q)
+	if err := q.install(m); err != nil {
+		return info, err
 	}
 	if haveSnap {
-		if err := mem.restoreState(snap.State); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("%w: %s: %v", wal.ErrBadSnapshot, dir, err)
+		if err := q.mem.restoreState(snap.State); err != nil {
+			return info, fmt.Errorf("%w: %s: %v", wal.ErrBadSnapshot, q.dir, err)
 		}
 	}
+	q.log.SkipTo(snapSeq)
+	q.sinceCompact = len(recs)
+	return info, q.applyAll(recs, snapSeq)
+}
+
+// catchUpLocked applies the records other handles appended since this
+// handle's last operation, or replays everything when one of them
+// reset the log meanwhile. Callers hold q.mu and the journal lock.
+func (q *WALQueue) catchUpLocked() error {
+	recs, _, err := q.log.Tail()
+	if errors.Is(err, wal.ErrReset) {
+		_, err = q.replayLocked()
+		return err
+	}
+	if err != nil {
+		return err
+	}
+	q.sinceCompact += len(recs)
+	return q.applyAll(recs, 0)
+}
+
+// applyAll replays the records past sequence number after.
+func (q *WALQueue) applyAll(recs []wal.Record, after uint64) error {
 	for _, rec := range recs {
-		if rec.Seq <= snapSeq {
+		if rec.Seq <= after {
 			continue // already folded into the snapshot
 		}
 		if err := q.apply(rec); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("%w: %s: replay seq %d: %v", wal.ErrBadRecord, dir, rec.Seq, err)
+			return fmt.Errorf("%w: %s: replay seq %d: %v", wal.ErrBadRecord, q.dir, rec.Seq, err)
 		}
 	}
-	mem.sink = q
-	return q, nil
+	return nil
 }
 
 // apply replays one journal record onto the in-memory state.
@@ -367,7 +439,7 @@ func (q *WALQueue) journalStrike(unit, strikes int, state, reason string) {
 	q.stage(kindStrike, recStrike{Unit: unit, Strikes: strikes, State: state, Reason: reason}, true)
 }
 
-// usable gates mutations; callers hold q.mu.
+// usable gates journal access; callers hold q.mu.
 func (q *WALQueue) usable() error {
 	if q.closed {
 		return fmt.Errorf("dispatch: queue %s: %w", q.dir, wal.ErrClosed)
@@ -378,8 +450,74 @@ func (q *WALQueue) usable() error {
 	return nil
 }
 
+// lock serializes one operation against this handle's other callers
+// and against every other handle, then catches up on the journal.
+// A catch-up failure poisons the handle: its state may be half
+// applied.
+func (q *WALQueue) lock() error {
+	q.mu.Lock()
+	err := q.usable()
+	if err == nil {
+		err = q.log.Lock()
+	}
+	if err != nil {
+		q.mu.Unlock()
+		return err
+	}
+	if err := q.catchUpLocked(); err != nil {
+		q.failed = err
+		q.unlock()
+		return err
+	}
+	return nil
+}
+
+func (q *WALQueue) unlock() {
+	if err := q.log.Unlock(); err != nil {
+		// A lock that will not release stalls every other handle;
+		// closing the descriptor drops it, and poisons this one.
+		q.failed = err
+		_ = q.log.Close()
+	}
+	q.mu.Unlock()
+}
+
+// mutate runs one state transition through the caught-up MemQueue and
+// journals it before returning. op's own error (ErrNoWork, a lost
+// lease) comes back only after the flush: a refused operation can
+// still have journaled side effects, such as a strike or a re-plan.
+func (q *WALQueue) mutate(op func() error) error {
+	if err := q.lock(); err != nil {
+		return err
+	}
+	defer q.unlock()
+	q.buf, q.bufErr = q.buf[:0], nil
+	err := op()
+	if ferr := q.flushLocked(); ferr != nil {
+		return ferr
+	}
+	return err
+}
+
+// current returns the handle's state caught up with the journal, for
+// a read. A closed or poisoned handle answers from memory, so a final
+// report and checkpoint can still be written.
+func (q *WALQueue) current() (*MemQueue, error) {
+	q.mu.Lock()
+	if q.usable() != nil {
+		defer q.mu.Unlock()
+		return q.mem, nil
+	}
+	q.mu.Unlock()
+	if err := q.lock(); err != nil {
+		return nil, err
+	}
+	defer q.unlock()
+	return q.mem, nil
+}
+
 // flushLocked appends the staged records, fsyncing when any demands
-// durability. A write failure poisons the queue: the in-memory state
+// durability. A write failure poisons the handle: the in-memory state
 // has already advanced past what the journal can replay, so serving
 // on would acknowledge transitions a restart silently forgets.
 func (q *WALQueue) flushLocked() error {
@@ -435,14 +573,14 @@ func (q *WALQueue) compactLocked() error {
 	return nil
 }
 
-// Recovered reports how reopening found the journal: a zero-value
-// info (nil Err) means a clean replay; otherwise the sentinel behind
-// the truncation back to the last consistent state.
+// Recovered reports how opening found the journal: a zero-value info
+// (nil Err) means a clean replay; otherwise the sentinel behind the
+// truncation back to the last consistent state.
 func (q *WALQueue) Recovered() wal.RecoverInfo { return q.recovered }
 
-// Close fsyncs and closes the journal. Subsequent mutations fail with
-// wal.ErrClosed; reads keep answering from memory so a final report
-// and checkpoint can still be written.
+// Close fsyncs and closes the handle's journal. Subsequent mutations
+// fail with wal.ErrClosed; reads keep answering from memory so a
+// final report and checkpoint can still be written.
 func (q *WALQueue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -454,122 +592,70 @@ func (q *WALQueue) Close() error {
 }
 
 // Manifest implements Queue.
-func (q *WALQueue) Manifest() (Manifest, error) { return q.mem.Manifest() }
+func (q *WALQueue) Manifest() (Manifest, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.mem.Manifest()
+}
 
 // Acquire implements Queue; the grant (and any re-plan it triggered)
 // is journaled and fsynced before the lease is returned.
 func (q *WALQueue) Acquire(worker string) (Lease, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
+	var l Lease
+	err := q.mutate(func() (err error) {
+		l, err = q.mem.Acquire(worker)
+		return err
+	})
+	if err != nil {
 		return Lease{}, err
 	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	l, err := q.mem.Acquire(worker)
-	if ferr := q.flushLocked(); ferr != nil {
-		return Lease{}, ferr
-	}
-	return l, err
+	return l, nil
 }
 
 // Heartbeat implements Queue; journaled without an fsync of its own
 // (see the type comment for why that is safe).
 func (q *WALQueue) Heartbeat(l Lease) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Heartbeat(l)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Heartbeat(l) })
 }
 
 // Submit implements Queue; the accepted checkpoint is journaled and
 // fsynced before the worker hears "accepted".
 func (q *WALQueue) Submit(l Lease, cp *resultio.Checkpoint, elapsed time.Duration) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Submit(l, cp, elapsed)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Submit(l, cp, elapsed) })
 }
 
 // SavePartial implements Queue.
 func (q *WALQueue) SavePartial(l Lease, cp *resultio.Checkpoint) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.SavePartial(l, cp)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.SavePartial(l, cp) })
 }
 
 // Fail implements Queue; the strike (and a possible quarantine) is
 // journaled and fsynced before the worker hears "recorded".
 func (q *WALQueue) Fail(l Lease, reason string) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Fail(l, reason)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Fail(l, reason) })
 }
 
-// Quarantined implements Queue (read-only: nothing to journal).
-func (q *WALQueue) Quarantined() ([]QuarantineEntry, error) { return q.mem.Quarantined() }
+// Quarantined implements Queue.
+func (q *WALQueue) Quarantined() ([]QuarantineEntry, error) {
+	mem, err := q.current()
+	if err != nil {
+		return nil, err
+	}
+	return mem.Quarantined()
+}
 
 // Requeue implements Queue; the reset is journaled and fsynced.
 func (q *WALQueue) Requeue(unit int) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Requeue(unit)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Requeue(unit) })
 }
 
 // Drop implements Queue; the drop is journaled and fsynced.
 func (q *WALQueue) Drop(unit int) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Drop(unit)
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Drop(unit) })
 }
 
-// Failed returns the journal error that poisoned the queue, or nil.
-// A poisoned queue rejects every mutation; the owner should reopen
+// Failed returns the journal error that poisoned the handle, or nil.
+// A poisoned handle rejects every mutation; the owner should reopen
 // the directory (OpenWALQueue) to resume from the durable state —
 // chaos tests use exactly that loop.
 func (q *WALQueue) Failed() error {
@@ -578,35 +664,49 @@ func (q *WALQueue) Failed() error {
 	return q.failed
 }
 
-// LoadPartial implements Queue (read-only: nothing to journal).
+// LoadPartial implements Queue.
 func (q *WALQueue) LoadPartial(l Lease) (*resultio.Checkpoint, error) {
-	return q.mem.LoadPartial(l)
+	mem, err := q.current()
+	if err != nil {
+		return nil, err
+	}
+	return mem.LoadPartial(l)
 }
 
 // Status implements Queue.
-func (q *WALQueue) Status() (Status, error) { return q.mem.Status() }
+func (q *WALQueue) Status() (Status, error) {
+	mem, err := q.current()
+	if err != nil {
+		return Status{}, err
+	}
+	return mem.Status()
+}
 
 // Merged implements Queue.
-func (q *WALQueue) Merged() (*resultio.Checkpoint, error) { return q.mem.Merged() }
+func (q *WALQueue) Merged() (*resultio.Checkpoint, error) {
+	mem, err := q.current()
+	if err != nil {
+		return nil, err
+	}
+	return mem.Merged()
+}
 
 // Cancel stops the campaign durably: the cancel record is journaled
 // and fsynced, so a reopened queue stays canceled.
 func (q *WALQueue) Cancel() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if err := q.usable(); err != nil {
-		return err
-	}
-	q.buf, q.bufErr = q.buf[:0], nil
-	err := q.mem.Cancel()
-	if ferr := q.flushLocked(); ferr != nil {
-		return ferr
-	}
-	return err
+	return q.mutate(func() error { return q.mem.Cancel() })
 }
 
-// Canceled reports whether the campaign was canceled.
-func (q *WALQueue) Canceled() bool { return q.mem.Canceled() }
+// Canceled reports whether the campaign was canceled. A handle that
+// cannot read the journal answers from memory.
+func (q *WALQueue) Canceled() bool {
+	if mem, err := q.current(); err == nil {
+		return mem.Canceled()
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.mem.Canceled()
+}
 
 // --- MemQueue replay plumbing ---
 //

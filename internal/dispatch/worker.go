@@ -256,7 +256,13 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 	defer pipeCancel()
 	prefetchCh := make(chan *prefetchedLease, 1)
 	var next *prefetchedLease
-	var prefetching atomic.Bool // a prefetchLease goroutine has not delivered yet
+	// prefetching is set when a prefetch starts and cleared only when
+	// the main loop receives its delivery, so at most one prefetch is
+	// ever in flight or awaiting adoption. The loop stops listening
+	// once it has received, so the lease of a second concurrent
+	// prefetch would never be adopted and its babysitter would
+	// heartbeat it forever.
+	var prefetching atomic.Bool
 	defer func() {
 		if next != nil {
 			next.release()
@@ -392,8 +398,9 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 				}
 				if unitCells > 0 && unitCells-len(cp.Cells) <= pipeThreshold {
 					prefetchOnce.Do(func() {
-						prefetching.Store(true)
-						go prefetchLease(pipeCtx, q, opt, beat, prefetchCh)
+						if prefetching.CompareAndSwap(false, true) {
+							go prefetchLease(pipeCtx, q, opt, beat, prefetchCh)
+						}
 					})
 				}
 				return nil

@@ -171,19 +171,13 @@ func TestWorkerResumesFromIntraUnitCheckpoint(t *testing.T) {
 	}
 	want := renderCampaign(t, single)
 
-	dir := t.TempDir()
 	ttl := 400 * time.Millisecond
-	if err := dispatch.InitDir(dir, dispatch.NewManifest(cfg, 2, ttl)); err != nil {
-		t.Fatal(err)
-	}
+	dir := initSharedDir(t, dispatch.NewManifest(cfg, 2, ttl))
 
 	// The doomed worker: leases a unit, computes a few cells (writing
 	// an intra-unit checkpoint after each), then dies — modelled as a
 	// canceled context and no further touches.
-	doomed, err := dispatch.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doomed := openShared(t, dir)
 	m := dispatchManifest(t, doomed)
 	lease, err := doomed.Acquire("doomed")
 	if err != nil {
@@ -214,10 +208,7 @@ func TestWorkerResumesFromIntraUnitCheckpoint(t *testing.T) {
 	}
 
 	// A survivor drains the campaign once the dead lease expires.
-	wq, err := dispatch.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wq := openShared(t, dir)
 	var (
 		mu    sync.Mutex
 		stats = map[int]dispatch.UnitRunStats{}
@@ -259,10 +250,7 @@ func TestWorkerResumesFromIntraUnitCheckpoint(t *testing.T) {
 		t.Error("worker log never mentioned the intra-unit resume")
 	}
 
-	coord, err := dispatch.OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := openShared(t, dir)
 	status, err := coord.Status()
 	if err != nil {
 		t.Fatal(err)
@@ -273,5 +261,83 @@ func TestWorkerResumesFromIntraUnitCheckpoint(t *testing.T) {
 	got := renderCampaign(t, seedFromQueue(t, coord))
 	if string(got) != string(want) {
 		t.Fatalf("resumed campaign rendering differs from the unsharded run:\n--- resumed ---\n%s\n--- single ---\n%s", got, want)
+	}
+}
+
+// slowAcquireQueue makes every grant take longer than a unit's tail,
+// so a prefetch started near the end of one unit is still in flight
+// when the worker finishes that unit and the next. It counts
+// heartbeats to tell whether any lease is still being kept alive.
+type slowAcquireQueue struct {
+	dispatch.Queue
+	delay time.Duration
+
+	mu    sync.Mutex
+	beats int
+}
+
+func (q *slowAcquireQueue) Acquire(worker string) (dispatch.Lease, error) {
+	time.Sleep(q.delay)
+	return q.Queue.Acquire(worker)
+}
+
+func (q *slowAcquireQueue) Heartbeat(l dispatch.Lease) error {
+	q.mu.Lock()
+	q.beats++
+	q.mu.Unlock()
+	return q.Queue.Heartbeat(l)
+}
+
+func (q *slowAcquireQueue) heartbeats() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.beats
+}
+
+// TestWorkerDrainsWhenPrefetchOutlastsUnit is the regression test for
+// the orphaned-prefetch stall: with grants slower than a unit's tail,
+// a second prefetch could start while the first was still in flight,
+// and the worker adopted only one of them — the other lease sat
+// heartbeated by its babysitter forever and the worker polled
+// ErrNoWork until its deadline. Work must drain and return nil, and
+// leave no lease heartbeated behind it.
+func TestWorkerDrainsWhenPrefetchOutlastsUnit(t *testing.T) {
+	ttl := 300 * time.Millisecond
+	m := dispatch.NewManifest(testConfig(t), 6, ttl)
+	inner, err := dispatch.NewMemQueue(m, dispatch.WithoutReplanning())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &slowAcquireQueue{Queue: inner, delay: 40 * time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	runs := 0
+	_, err = dispatch.Work(ctx, q, dispatch.WorkerOptions{
+		Name: "pipelined",
+		Poll: 20 * time.Millisecond,
+		RunShard: func(ctx context.Context, m dispatch.Manifest, u dispatch.UnitWork) (*resultio.Checkpoint, dispatch.UnitRunStats, error) {
+			// The first two units checkpoint all but their last cell,
+			// arming a prefetch each, then finish at once: the tail is
+			// shorter than a grant, so the second unit arms while the
+			// first unit's prefetch is still out. Later units never
+			// arm, so nothing else would collect a stray delivery.
+			if runs++; runs <= 2 {
+				_ = u.SavePartial(checkpointForCells(t, m, u.Cells[:len(u.Cells)-1]))
+			}
+			st := dispatch.UnitRunStats{TotalCells: len(u.Cells), ComputedCells: len(u.Cells)}
+			return checkpointForCells(t, m, u.Cells), st, nil
+		},
+		Log: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("worker did not drain the campaign: %v", err)
+	}
+	if st := queueStatus(t, inner); !st.Drained() {
+		t.Fatalf("campaign not drained: %+v", st)
+	}
+	before := q.heartbeats()
+	time.Sleep(ttl)
+	if after := q.heartbeats(); after != before {
+		t.Fatalf("%d heartbeats arrived after Work returned; a lease is still being babysat", after-before)
 	}
 }

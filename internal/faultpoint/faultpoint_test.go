@@ -96,7 +96,7 @@ func TestDelayOnly(t *testing.T) {
 }
 
 func TestParseScheduleRoundTrip(t *testing.T) {
-	spec := "seed=42;wal.sync:count=1,skip=2;http.client:delay=10ms,prob=0.5;dir.claim:err=no"
+	spec := "seed=42;wal.sync:count=1,skip=2;http.client:delay=10ms,prob=0.5;wal.snapshot:err=no"
 	s, err := ParseSchedule(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestParseScheduleErrors(t *testing.T) {
 // schedule (same seed, same rules).
 func FuzzParseSchedule(f *testing.F) {
 	f.Add("seed=42;wal.sync:skip=2,count=1")
-	f.Add("http.client:prob=0.5,delay=10ms;dir.claim:err=no")
+	f.Add("http.client:prob=0.5,delay=10ms;wal.snapshot:err=no")
 	f.Add("p:count=0")
 	f.Add("seed=0;a:skip=1;b:prob=1")
 	f.Fuzz(func(t *testing.T, spec string) {
