@@ -47,6 +47,20 @@ var (
 	ErrBadCampaignToken = errors.New("dispatch: bad campaign worker token")
 )
 
+// isFinal is the one retry rule of Dial and Work (see the package
+// doc): it reports whether err is an answer that retrying cannot
+// change. Callers handle ErrNoWork, ErrDrained,
+// ErrLeaseLost and ErrDuplicateSubmit before asking.
+func isFinal(err error) bool {
+	for _, final := range []error{resultio.ErrConfigMismatch, resultio.ErrBadCheckpoint, ErrCanceled, ErrUnknownCampaign, ErrBadCampaignToken} {
+		if errors.Is(err, final) {
+			return true
+		}
+	}
+	var se *statusError
+	return errors.As(err, &se) && se.code >= 400 && se.code < 500
+}
+
 // CampaignSpec is the serializable subset of core.StudyConfig — every
 // result-determining field, none of the execution callbacks. The
 // coordinator embeds it in the manifest so workers rebuild the exact

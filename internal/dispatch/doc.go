@@ -58,6 +58,14 @@
 //     MemQueue or WALQueue); Client speaks the same protocol from the
 //     worker side.
 //
+// A worker (Work) holds one lease at a time: acquire, load the
+// partial, run under one heartbeat goroutine, submit, repeat. Dial and
+// Work share one rule for failed queue calls. Final, ending the worker
+// at once: resultio.ErrConfigMismatch, resultio.ErrBadCheckpoint,
+// ErrCanceled, ErrUnknownCampaign, ErrBadCampaignToken and any other
+// 4xx answer; a heartbeat that gets one cancels the unit. Retried:
+// transport errors, 5xx answers and errors from in-process queues.
+//
 // Submitted checkpoints are validated against the manifest fingerprint
 // and the unit's shard plan before they are accepted, and the rolling
 // merged state is folded with resultio's overlap-checked merge, so a

@@ -179,7 +179,7 @@ func TestRenderPartialCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := dispatch.RunStudyShard(context.Background(), m, m.Plan(0))
+	cp, _, err := dispatch.RunUnitWork(context.Background(), m, dispatch.UnitWork{Unit: 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRenderPartialCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err = dispatch.RunStudyShard(context.Background(), m, m.Plan(1))
+	cp, _, err = dispatch.RunUnitWork(context.Background(), m, dispatch.UnitWork{Unit: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

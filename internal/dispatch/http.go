@@ -386,11 +386,11 @@ func DialCampaign(base, campaignID, token string, hc *http.Client) (*Client, err
 // from 50ms and capped at 2s, the attempts span about five seconds.
 const dialAttempts = 8
 
-// dial fetches and validates the manifest. A transport error or a 5xx
-// answer is retried with jittered exponential backoff, so a worker
-// started during a network blip or a coordinator restart still gets
-// its campaign; any other answer (403 bad token, 404 unknown campaign)
-// is final at once.
+// dial fetches and validates the manifest, retrying what isFinal calls
+// transient (a transport error, a 5xx answer) with jittered exponential
+// backoff, so a worker started during a network blip or a coordinator
+// restart still gets its campaign; a final answer (403 bad token, 404
+// unknown campaign) is returned at once.
 func dial(base, prefix, token string, hc *http.Client) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{Timeout: time.Minute}
@@ -398,11 +398,11 @@ func dial(base, prefix, token string, hc *http.Client) (*Client, error) {
 	c := &Client{base: strings.TrimRight(base, "/"), prefix: prefix, token: token, hc: hc}
 	delay := 50 * time.Millisecond
 	for attempt := 1; ; attempt++ {
-		retry, err := c.fetchManifest()
+		err := c.fetchManifest()
 		if err == nil {
 			break
 		}
-		if !retry || attempt == dialAttempts {
+		if isFinal(err) || attempt == dialAttempts {
 			return nil, err
 		}
 		time.Sleep(jitter(delay))
@@ -414,18 +414,17 @@ func dial(base, prefix, token string, hc *http.Client) (*Client, error) {
 	return c, nil
 }
 
-// fetchManifest GETs the campaign manifest; retry reports whether a
-// failure is transient (no response at all, or a 5xx).
-func (c *Client) fetchManifest() (retry bool, err error) {
+// fetchManifest GETs the campaign manifest.
+func (c *Client) fetchManifest() error {
 	resp, err := c.do("GET", "/manifest", nil)
 	if err != nil {
-		return true, err
+		return err
 	}
 	defer resp.Body.Close()
 	if err := responseErr(resp); err != nil {
-		return resp.StatusCode >= 500, err
+		return err
 	}
-	return false, json.NewDecoder(resp.Body).Decode(&c.manifest)
+	return json.NewDecoder(resp.Body).Decode(&c.manifest)
 }
 
 // Manifest implements Queue.
@@ -642,5 +641,14 @@ func responseErr(resp *http.Response) error {
 	case errValBadCampaignToken:
 		return fmt.Errorf("%w (%s)", ErrBadCampaignToken, detail)
 	}
-	return fmt.Errorf("dispatch: coordinator returned %s: %s", resp.Status, detail)
+	return &statusError{code: resp.StatusCode, msg: fmt.Sprintf("dispatch: coordinator returned %s: %s", resp.Status, detail)}
 }
+
+// statusError is a coordinator answer that maps to no queue sentinel;
+// the worker retry rule (isFinal) classifies it by its status code.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }

@@ -59,7 +59,6 @@ type WALQueue struct {
 	dir string
 	now func() time.Time // nil: the MemQueue default
 
-	nosync       bool
 	compactEvery int
 	// sinceCompact counts the records in the log since its last reset,
 	// whichever handle appended them.
@@ -157,13 +156,6 @@ func WALWithClock(now func() time.Time) WALQueueOption {
 	return func(q *WALQueue) { q.now = now }
 }
 
-// WALWithoutSync skips per-record fsync. Appends still go straight to
-// the OS (a process crash loses nothing); only machine-crash
-// durability is traded away. For benchmarks and tests.
-func WALWithoutSync() WALQueueOption {
-	return func(q *WALQueue) { q.nosync = true }
-}
-
 // WALCompactEvery overrides the journal's compaction threshold.
 func WALCompactEvery(n int) WALQueueOption {
 	return func(q *WALQueue) {
@@ -221,7 +213,7 @@ func CreateWALQueue(dir string, m Manifest, opts ...WALQueueOption) (*WALQueue, 
 	if err == nil {
 		_, err = log.Append(kindInit, payload)
 	}
-	if err == nil && !q.nosync {
+	if err == nil {
 		err = log.Sync()
 	}
 	if err == nil {
@@ -536,7 +528,7 @@ func (q *WALQueue) flushLocked() error {
 		}
 		durable = durable || r.durable
 	}
-	if durable && !q.nosync {
+	if durable {
 		if err := q.log.Sync(); err != nil {
 			q.failed = err
 			return err

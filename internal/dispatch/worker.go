@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rowfuse/internal/core"
@@ -121,24 +119,6 @@ func (o WorkerOptions) withDefaults(ttl time.Duration) WorkerOptions {
 	return o
 }
 
-// RunStudyShard runs one shard of the manifest's campaign with the
-// checkpointed Study.Run and packs the resulting aggregates as the
-// shard's checkpoint. The plan is honored as given — Index of Count,
-// whatever Count is — so the entry point keeps its historical
-// semantics even when Count differs from the manifest's unit count;
-// the worker loop itself runs RunUnitWork with the lease's explicit
-// cell set instead.
-func RunStudyShard(ctx context.Context, m Manifest, plan core.ShardPlan) (*resultio.Checkpoint, error) {
-	var cells []int
-	for idx := 0; idx < m.GridSize(); idx++ {
-		if plan.Contains(idx) {
-			cells = append(cells, idx)
-		}
-	}
-	cp, _, err := RunUnitWork(ctx, m, UnitWork{Unit: plan.Index, Cells: cells}, 0)
-	return cp, err
-}
-
 // RunUnitWork computes one unit: reconstruct the campaign config from
 // the manifest, restrict it to the unit's cells, seed the intra-unit
 // resume checkpoint (completed cells are skipped, not recomputed),
@@ -193,14 +173,15 @@ func RunUnitWork(ctx context.Context, m Manifest, u UnitWork, concurrency int) (
 	return resultio.NewCheckpoint(m.Fingerprint, core.ShardPlan{}, study.Snapshot()), stats, nil
 }
 
-// Work drains the queue: acquire a lease, heartbeat it on a TTL/3
-// ticker while the shard runs AND while its submission is retried,
-// submit the checkpoint, repeat until the campaign is drained (nil
-// error) or ctx is canceled. A lost lease (this worker was presumed
-// dead and its unit re-granted) abandons the unit and continues — the
-// thief resumes from our last intra-unit checkpoint and its result is
-// byte-identical, so nothing is lost. Returns the number of units this
-// worker submitted.
+// Work drains the queue one lease at a time: acquire a lease, load its
+// intra-unit checkpoint, run the shard while one goroutine heartbeats
+// the lease on a TTL/3 ticker (through submission retries too), and
+// submit, until the campaign is drained (nil error) or ctx is
+// canceled. A lost lease (this worker was presumed dead and its unit
+// re-granted) abandons the unit — the thief resumes from our last
+// intra-unit checkpoint and its result is byte-identical. A final
+// answer (isFinal) ends the worker; other failures are retried.
+// Returns the number of units this worker submitted.
 func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 	m, err := q.Manifest()
 	if err != nil {
@@ -213,15 +194,16 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 	}
 	// A worker exists to outlive coordinator restarts and network
 	// blips — the same transient faults heartbeats already tolerate.
-	// Only persistent failure (a couple of TTLs' worth of consecutive
-	// errors; with the backoff capped at TTL/3, eight strikes span
-	// roughly 2.5 lease TTLs) or a deterministic rejection of our own
-	// checkpoint is fatal.
+	// Only a final answer, or persistent failure (a couple of TTLs'
+	// worth of consecutive errors; with the backoff capped at TTL/3,
+	// eight strikes span roughly 2.5 lease TTLs), ends the worker.
 	maxStrikes := 8
 	strikes := 0
-	transient := func(op string, err error) error {
-		if errors.Is(err, resultio.ErrConfigMismatch) || errors.Is(err, resultio.ErrBadCheckpoint) {
-			return err // deterministic: retrying cannot help
+	// retry returns nil when the failed op should be tried again, or
+	// the error that ends the worker.
+	retry := func(op string, err error) error {
+		if isFinal(err) {
+			return err
 		}
 		if strikes++; strikes > maxStrikes {
 			return fmt.Errorf("dispatch: %s failed %d times in a row: %w", op, strikes, err)
@@ -245,87 +227,25 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 		}
 		return d
 	}
-	// Lease pipelining: when the running unit is down to its tail
-	// cells, a background goroutine overlaps the next Acquire with the
-	// remaining compute and babysits the prefetched lease (heartbeats
-	// it) until the main loop adopts it — hiding the acquire round
-	// trip behind the tail of the current unit. pipeCtx ends the
-	// babysitter when Work returns, letting an unadopted lease expire
-	// exactly like a crashed worker's would.
-	pipeCtx, pipeCancel := context.WithCancel(context.Background())
-	defer pipeCancel()
-	prefetchCh := make(chan *prefetchedLease, 1)
-	var next *prefetchedLease
-	// prefetching is set when a prefetch starts and cleared only when
-	// the main loop receives its delivery, so at most one prefetch is
-	// ever in flight or awaiting adoption. The loop stops listening
-	// once it has received, so the lease of a second concurrent
-	// prefetch would never be adopted and its babysitter would
-	// heartbeat it forever.
-	var prefetching atomic.Bool
-	defer func() {
-		if next != nil {
-			next.release()
-		}
-	}()
 	done := 0
 	for {
-		if next == nil && prefetching.Load() {
-			select {
-			case next = <-prefetchCh:
-				prefetching.Store(false)
-			default:
-			}
-		}
 		if err := ctx.Err(); err != nil {
 			return done, err
 		}
-		var lease Lease
-		var err error
-		if next != nil {
-			lease = next.lease
-			next.release()
-			next = nil
-			opt.Log("worker %s: adopting prefetched lease for unit %d", opt.Name, lease.Unit)
-		} else {
-			lease, err = q.Acquire(opt.Name)
-		}
+		lease, err := q.Acquire(opt.Name)
 		switch {
 		case errors.Is(err, ErrDrained):
-			// A prefetched grant may still be in flight; a drained
-			// answer to this worker's own Acquire says nothing about
-			// it. Wait the prefetch out and adopt its lease before
-			// concluding, or the unit would be abandoned to TTL expiry.
-			if prefetching.Load() {
-				select {
-				case next = <-prefetchCh:
-					prefetching.Store(false)
-					if next != nil {
-						continue
-					}
-				case <-ctx.Done():
-					return done, ctx.Err()
-				}
-			}
 			opt.Log("worker %s: campaign drained after %d units", opt.Name, done)
 			return done, nil
 		case errors.Is(err, ErrNoWork):
 			strikes = 0
-			select {
-			case <-ctx.Done():
-				return done, ctx.Err()
-			case <-time.After(jitter(opt.Poll)):
-			}
+			sleep(ctx, jitter(opt.Poll))
 			continue
 		case err != nil:
-			if ferr := transient("acquire", err); ferr != nil {
+			if ferr := retry("acquire", err); ferr != nil {
 				return done, ferr
 			}
-			select {
-			case <-ctx.Done():
-				return done, ctx.Err()
-			case <-time.After(jitter(opt.Poll)):
-			}
+			sleep(ctx, jitter(opt.Poll))
 			continue
 		}
 		strikes = 0
@@ -336,7 +256,9 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 		// finished unit whose first submit hits a transient queue error
 		// must not lose its lease while the retry loop sleeps.
 		unitCtx, cancel := context.WithCancel(ctx)
-		var lost atomic.Bool
+		// hbErr is the answer that ended the heartbeat early:
+		// ErrLeaseLost or a final one. Read it only after stop.
+		var hbErr error
 		hbDone := make(chan struct{})
 		go func() {
 			defer close(hbDone)
@@ -348,8 +270,8 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 					return
 				case <-t.C:
 					if err := q.Heartbeat(lease); err != nil {
-						if errors.Is(err, ErrLeaseLost) {
-							lost.Store(true)
+						if errors.Is(err, ErrLeaseLost) || isFinal(err) {
+							hbErr = err
 							cancel()
 							return
 						}
@@ -362,6 +284,10 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 				}
 			}
 		}()
+		stop := func() {
+			cancel()
+			<-hbDone
+		}
 
 		// A dead predecessor's intra-unit checkpoint turns a re-granted
 		// lease into a resume instead of a recompute. Failure to load
@@ -375,18 +301,6 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 			opt.Log("worker %s: unit %d: resuming from intra-unit checkpoint (%d of %d cells done)",
 				opt.Name, lease.Unit, len(resume.Cells), len(lease.Cells))
 		}
-		unitCells := len(lease.Cells)
-		if unitCells == 0 {
-			unitCells = len(m.UnitCells(lease.Unit))
-		}
-		// Pipelining trigger: once the unit is into its last
-		// checkpoint-interval's worth of cells, overlap the next
-		// Acquire with the tail compute. One attempt per unit.
-		pipeThreshold := opt.PartialEvery
-		if pipeThreshold < 1 {
-			pipeThreshold = 1
-		}
-		var prefetchOnce sync.Once
 		work := UnitWork{
 			Unit:         lease.Unit,
 			Cells:        lease.Cells,
@@ -395,13 +309,6 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 			SavePartial: func(cp *resultio.Checkpoint) error {
 				if err := q.SavePartial(lease, cp); err != nil && !errors.Is(err, ErrLeaseLost) {
 					opt.Log("worker %s: unit %d: intra-unit checkpoint: %v", opt.Name, lease.Unit, err)
-				}
-				if unitCells > 0 && unitCells-len(cp.Cells) <= pipeThreshold {
-					prefetchOnce.Do(func() {
-						if prefetching.CompareAndSwap(false, true) {
-							go prefetchLease(pipeCtx, q, opt, beat, prefetchCh)
-						}
-					})
 				}
 				return nil
 			},
@@ -420,31 +327,31 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 			elapsed = time.Duration(float64(elapsed) * float64(stats.TotalCells) / float64(stats.ComputedCells))
 		}
 		if runErr != nil {
-			cancel()
-			<-hbDone
-			if lost.Load() {
+			stop()
+			switch {
+			case errors.Is(hbErr, ErrLeaseLost):
 				opt.Log("worker %s: unit %d lease lost mid-run; abandoning", opt.Name, lease.Unit)
-				continue
-			}
-			if err := ctx.Err(); err != nil {
+			case hbErr != nil:
+				return done, hbErr
+			case ctx.Err() != nil:
 				// The worker itself is shutting down; the lease expires
 				// and another worker resumes from the last partial. Not
 				// the unit's fault — no strike.
-				return done, err
+			default:
+				// A run failure is the unit's problem, not the
+				// worker's: report it so the queue can strike the unit
+				// toward quarantine, and move on to other work. A
+				// poison unit thus burns MaxStrikes grants fleet-wide
+				// instead of crashing every worker that touches it.
+				reason := runErr.Error()
+				if errors.Is(runErr, context.DeadlineExceeded) {
+					reason = fmt.Sprintf("unit timeout %v exceeded", opt.UnitTimeout)
+				}
+				if ferr := q.Fail(lease, reason); ferr != nil && !errors.Is(ferr, ErrLeaseLost) {
+					opt.Log("worker %s: unit %d: reporting failure: %v", opt.Name, lease.Unit, ferr)
+				}
+				opt.Log("worker %s: unit %d failed: %v", opt.Name, lease.Unit, runErr)
 			}
-			// A run failure is the unit's problem, not the worker's:
-			// report it so the queue can strike the unit toward
-			// quarantine, and move on to other work. A poison unit thus
-			// burns MaxStrikes grants fleet-wide instead of crashing
-			// every worker that touches it.
-			reason := runErr.Error()
-			if errors.Is(runErr, context.DeadlineExceeded) {
-				reason = fmt.Sprintf("unit timeout %v exceeded", opt.UnitTimeout)
-			}
-			if ferr := q.Fail(lease, reason); ferr != nil && !errors.Is(ferr, ErrLeaseLost) {
-				opt.Log("worker %s: unit %d: reporting failure: %v", opt.Name, lease.Unit, ferr)
-			}
-			opt.Log("worker %s: unit %d failed: %v", opt.Name, lease.Unit, runErr)
 			continue
 		}
 		submitted := false
@@ -460,30 +367,39 @@ func Work(ctx context.Context, q Queue, opt WorkerOptions) (int, error) {
 				opt.Log("worker %s: unit %d already submitted elsewhere", opt.Name, lease.Unit)
 				break
 			}
-			if ferr := transient("submit", err); ferr != nil {
-				cancel()
-				<-hbDone
+			if ferr := retry("submit", err); ferr != nil {
+				stop()
 				return done, ferr
 			}
-			if lost.Load() {
-				opt.Log("worker %s: unit %d lease lost during submit retries; abandoning", opt.Name, lease.Unit)
+			// unitCtx ends when the heartbeat loses the lease or gets
+			// a final answer, or when the worker shuts down.
+			if !sleep(unitCtx, jitter(backoff(attempt))) {
 				break
 			}
-			select {
-			case <-ctx.Done():
-				cancel()
-				<-hbDone
-				return done, ctx.Err()
-			case <-time.After(jitter(backoff(attempt))):
-			}
 		}
-		cancel()
-		<-hbDone
-		if !submitted {
-			continue
+		stop()
+		if submitted {
+			done++
+			opt.Log("worker %s: submitted unit %d", opt.Name, lease.Unit)
+		} else if errors.Is(hbErr, ErrLeaseLost) {
+			opt.Log("worker %s: unit %d lease lost during submit retries; abandoning", opt.Name, lease.Unit)
 		}
-		done++
-		opt.Log("worker %s: submitted unit %d", opt.Name, lease.Unit)
+		if isFinal(hbErr) {
+			return done, hbErr
+		}
+	}
+}
+
+// sleep waits d, or less if ctx ends first; it reports whether the
+// whole wait elapsed.
+func sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
 	}
 }
 
@@ -510,63 +426,4 @@ func runUnit(parent context.Context, opt WorkerOptions, m Manifest, u UnitWork) 
 		err = fmt.Errorf("%v: %w", err, context.DeadlineExceeded)
 	}
 	return cp, stats, err
-}
-
-// prefetchedLease is a lease acquired ahead of need: a babysitter
-// goroutine keeps it heartbeated until the worker's main loop adopts
-// it (or Work returns and the lease is left to expire).
-type prefetchedLease struct {
-	lease Lease
-	stop  chan struct{}
-	done  chan struct{}
-}
-
-// release stops the babysitter and waits it out; the caller owns the
-// lease from here (or abandons it to TTL expiry).
-func (p *prefetchedLease) release() {
-	close(p.stop)
-	<-p.done
-}
-
-// prefetchLease overlaps the next Acquire with the current unit's
-// tail cells. On success the lease is handed to ch with a babysitter
-// heartbeating it; any acquire error (ErrNoWork, ErrDrained,
-// transient faults alike) simply means nothing was pipelined — the
-// main loop's own acquire path remains authoritative. Either way
-// exactly one value is delivered (nil on failure), so the main loop
-// can always tell an in-flight prefetch from a finished one.
-func prefetchLease(ctx context.Context, q Queue, opt WorkerOptions, beat time.Duration, ch chan *prefetchedLease) {
-	l, err := q.Acquire(opt.Name)
-	if err != nil {
-		select {
-		case ch <- nil:
-		case <-ctx.Done():
-		}
-		return
-	}
-	p := &prefetchedLease{lease: l, stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		t := time.NewTimer(jitter(beat))
-		defer t.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				if err := q.Heartbeat(p.lease); errors.Is(err, ErrLeaseLost) {
-					return
-				}
-				t.Reset(jitter(beat))
-			}
-		}
-	}()
-	opt.Log("worker %s: prefetched lease for unit %d while finishing the current unit", opt.Name, l.Unit)
-	select {
-	case ch <- p:
-	case <-ctx.Done():
-		p.release()
-	}
 }

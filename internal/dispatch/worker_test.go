@@ -264,10 +264,9 @@ func TestWorkerResumesFromIntraUnitCheckpoint(t *testing.T) {
 	}
 }
 
-// slowAcquireQueue makes every grant take longer than a unit's tail,
-// so a prefetch started near the end of one unit is still in flight
-// when the worker finishes that unit and the next. It counts
-// heartbeats to tell whether any lease is still being kept alive.
+// slowAcquireQueue makes every grant take longer than a unit's
+// compute. It counts heartbeats to tell whether any lease is still
+// being kept alive.
 type slowAcquireQueue struct {
 	dispatch.Queue
 	delay time.Duration
@@ -294,14 +293,12 @@ func (q *slowAcquireQueue) heartbeats() int {
 	return q.beats
 }
 
-// TestWorkerDrainsWhenPrefetchOutlastsUnit is the regression test for
-// the orphaned-prefetch stall: with grants slower than a unit's tail,
-// a second prefetch could start while the first was still in flight,
-// and the worker adopted only one of them — the other lease sat
-// heartbeated by its babysitter forever and the worker polled
-// ErrNoWork until its deadline. Work must drain and return nil, and
-// leave no lease heartbeated behind it.
-func TestWorkerDrainsWhenPrefetchOutlastsUnit(t *testing.T) {
+// TestWorkerDrainsWithSlowGrants: with grants slower than a unit's
+// compute and partials written near each unit's end, Work must drain
+// and return nil, and leave no lease heartbeated behind it — a lease
+// the worker holds but never runs would sit heartbeated forever while
+// the worker polled ErrNoWork until its deadline.
+func TestWorkerDrainsWithSlowGrants(t *testing.T) {
 	ttl := 300 * time.Millisecond
 	m := dispatch.NewManifest(testConfig(t), 6, ttl)
 	inner, err := dispatch.NewMemQueue(m, dispatch.WithoutReplanning())
@@ -313,14 +310,11 @@ func TestWorkerDrainsWhenPrefetchOutlastsUnit(t *testing.T) {
 	defer cancel()
 	runs := 0
 	_, err = dispatch.Work(ctx, q, dispatch.WorkerOptions{
-		Name: "pipelined",
+		Name: "slow-grants",
 		Poll: 20 * time.Millisecond,
 		RunShard: func(ctx context.Context, m dispatch.Manifest, u dispatch.UnitWork) (*resultio.Checkpoint, dispatch.UnitRunStats, error) {
 			// The first two units checkpoint all but their last cell,
-			// arming a prefetch each, then finish at once: the tail is
-			// shorter than a grant, so the second unit arms while the
-			// first unit's prefetch is still out. Later units never
-			// arm, so nothing else would collect a stray delivery.
+			// then finish at once: the tail is shorter than a grant.
 			if runs++; runs <= 2 {
 				_ = u.SavePartial(checkpointForCells(t, m, u.Cells[:len(u.Cells)-1]))
 			}
@@ -338,6 +332,73 @@ func TestWorkerDrainsWhenPrefetchOutlastsUnit(t *testing.T) {
 	before := q.heartbeats()
 	time.Sleep(ttl)
 	if after := q.heartbeats(); after != before {
-		t.Fatalf("%d heartbeats arrived after Work returned; a lease is still being babysat", after-before)
+		t.Fatalf("%d heartbeats arrived after Work returned; a lease is still being kept alive", after-before)
+	}
+}
+
+// countingQueue counts the Acquire calls that reach the queue.
+type countingQueue struct {
+	dispatch.Queue
+
+	mu       sync.Mutex
+	acquires int
+}
+
+func (q *countingQueue) Acquire(worker string) (dispatch.Lease, error) {
+	q.mu.Lock()
+	q.acquires++
+	q.mu.Unlock()
+	return q.Queue.Acquire(worker)
+}
+
+// TestWorkerStopsAtOnceOnCanceledCampaign: a canceled campaign is a
+// final answer, so the worker returns ErrCanceled after one Acquire
+// instead of retrying it as a transient fault.
+func TestWorkerStopsAtOnceOnCanceledCampaign(t *testing.T) {
+	m := dispatch.NewManifest(testConfig(t), 2, time.Minute)
+	inner, err := dispatch.NewMemQueue(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	q := &countingQueue{Queue: inner}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	_, err = dispatch.Work(ctx, q, dispatch.WorkerOptions{Name: "w", Poll: 10 * time.Millisecond, Log: t.Logf})
+	if !errors.Is(err, dispatch.ErrCanceled) {
+		t.Fatalf("Work on a canceled campaign returned %v, want ErrCanceled", err)
+	}
+	if q.acquires != 1 {
+		t.Fatalf("Work called Acquire %d times on a canceled campaign, want 1", q.acquires)
+	}
+}
+
+// TestWorkerHeartbeatFinalCancelsUnit: a campaign canceled while a
+// unit runs answers the next heartbeat with ErrCanceled, which cancels
+// the unit and ends the worker instead of ticking on until the run
+// finishes on its own.
+func TestWorkerHeartbeatFinalCancelsUnit(t *testing.T) {
+	m := dispatch.NewManifest(testConfig(t), 2, 300*time.Millisecond)
+	q, err := dispatch.NewMemQueue(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	_, err = dispatch.Work(ctx, q, dispatch.WorkerOptions{
+		Name: "w",
+		RunShard: func(ctx context.Context, m dispatch.Manifest, u dispatch.UnitWork) (*resultio.Checkpoint, dispatch.UnitRunStats, error) {
+			if err := q.Cancel(); err != nil {
+				t.Error(err)
+			}
+			<-ctx.Done()
+			return nil, dispatch.UnitRunStats{}, ctx.Err()
+		},
+		Log: t.Logf,
+	})
+	if !errors.Is(err, dispatch.ErrCanceled) {
+		t.Fatalf("Work returned %v, want ErrCanceled from the heartbeat", err)
 	}
 }
